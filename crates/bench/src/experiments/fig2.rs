@@ -7,7 +7,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_profile::{evaluate, initial, offline, pareto, BranchProfile, SpeculationSet};
+use rsc_profile::{evaluate, initial, offline, pareto, SpeculationSet};
 use rsc_trace::{spec2000, InputId};
 
 /// All Figure 2 marks for one benchmark.
@@ -33,19 +33,29 @@ pub fn training_lengths(events: u64) -> Vec<u64> {
     // The paper's lengths assume branches that execute many millions of
     // times; at this scale hot branches execute thousands to a couple of
     // million times, so the per-branch training lengths are scaled by ~100x,
-    // clamped to sane bounds.
+    // clamped to sane bounds. Below 400 events the `events / 8` cap wins
+    // over the 50-execution floor.
     initial::PAPER_TRAINING_LENGTHS
         .iter()
-        .map(|&n| (n / 100).clamp(50, events / 8))
+        .map(|&n| (n / 100).max(50).min(events / 8))
         .collect()
 }
 
 /// Runs the Figure 2 experiment for all benchmarks.
+///
+/// Each input's trace is generated once per benchmark: one pass over the
+/// evaluation input yields the whole-run profile and every
+/// initial-behavior profile, one pass over the profile input yields the
+/// cross-input profile, and every open-loop evaluation is summed from
+/// those counts (bit-identical to replaying the trace; see DESIGN.md).
 pub fn run(opts: &ExpOptions) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let eval_profile =
-            BranchProfile::from_trace(pop.trace(InputId::Eval, opts.events, opts.seed));
+        let lengths = training_lengths(opts.events);
+        let (eval_profile, initial_profiles) = initial::profile_with_initial(
+            &mut pop.trace(InputId::Eval, opts.events, opts.seed),
+            &lengths,
+        );
 
         // Self-training curve and knee.
         let full_curve = pareto::curve(&eval_profile);
@@ -58,24 +68,26 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
         let knee_pt = pareto::threshold_point(&eval_profile, 0.99);
 
         // Cross-input profile (the paper's Table 1 pairings).
-        let cross = offline::cross_input_experiment(&pop, opts.events, opts.seed, 0.99, 32);
+        let cross = offline::cross_input_from_eval_profile(
+            &eval_profile,
+            &pop,
+            opts.events,
+            opts.seed,
+            0.99,
+            32,
+        );
         let cross_input = (
             cross.cross_trained.incorrect_frac(),
             cross.cross_trained.correct_frac(),
         );
 
         // Initial-behavior training at several lengths.
-        let initial_pts = training_lengths(opts.events)
-            .into_iter()
-            .map(|n| {
-                let p =
-                    initial::initial_profile(pop.trace(InputId::Eval, opts.events, opts.seed), n);
-                let set = SpeculationSet::from_profile(&p, 0.99, n.min(100));
-                let out = evaluate::evaluate_after_training(
-                    &set,
-                    pop.trace(InputId::Eval, opts.events, opts.seed),
-                    n,
-                );
+        let initial_pts = lengths
+            .iter()
+            .zip(&initial_profiles)
+            .map(|(&n, p)| {
+                let set = SpeculationSet::from_profile(p, 0.99, n.min(100));
+                let out = evaluate::evaluate_profile_after_training(&set, &eval_profile, p);
                 (n, out.incorrect_frac(), out.correct_frac())
             })
             .collect();
@@ -144,13 +156,95 @@ mod tests {
 
     #[test]
     fn training_lengths_scale_and_clamp() {
-        let l = training_lengths(16_000_000);
-        assert_eq!(l.len(), 5);
-        for w in l.windows(2) {
-            assert!(w[0] <= w[1]);
+        assert_eq!(
+            training_lengths(16_000_000),
+            vec![50, 100, 1_000, 3_000, 10_000]
+        );
+        assert_eq!(
+            training_lengths(3_000_000),
+            vec![50, 100, 1_000, 3_000, 10_000]
+        );
+        // The 50-execution floor holds from 400 events up; below it the
+        // `events / 8` cap wins.
+        assert_eq!(training_lengths(400), vec![50; 5]);
+        assert_eq!(training_lengths(399), vec![49; 5]);
+        assert_eq!(training_lengths(100), vec![12; 5]);
+        assert_eq!(training_lengths(0), vec![0; 5]);
+    }
+
+    /// Figure 2 through the streaming functions, every evaluation replaying
+    /// the trace: the evaluation trace is regenerated for the self-training
+    /// profile, for the cross-input profile and evaluation, and twice per
+    /// training length. (The cross-input experiment also regenerated it for
+    /// its own copy of the profile and for a self-trained evaluation no row
+    /// field uses; those are left out.)
+    fn streaming_reference(opts: &ExpOptions) -> Vec<Row> {
+        use rsc_profile::BranchProfile;
+        spec2000::all()
+            .into_iter()
+            .map(|model| {
+                let pop = model.population(opts.events);
+                let eval = || pop.trace(InputId::Eval, opts.events, opts.seed);
+                let eval_profile = BranchProfile::from_trace(eval());
+                let full_curve = pareto::curve(&eval_profile);
+                let stride = (full_curve.len() / 16).max(1);
+                let curve = full_curve
+                    .iter()
+                    .step_by(stride)
+                    .map(|p| (p.incorrect, p.correct))
+                    .collect();
+                let knee_pt = pareto::threshold_point(&eval_profile, 0.99);
+                let train_profile = BranchProfile::from_trace(pop.trace(
+                    InputId::Profile,
+                    opts.events,
+                    opts.seed + 1,
+                ));
+                let cross_set = SpeculationSet::from_profile(&train_profile, 0.99, 32);
+                let cross = evaluate::evaluate(&cross_set, eval());
+                let initial = training_lengths(opts.events)
+                    .into_iter()
+                    .map(|n| {
+                        let p = initial::initial_profile(eval(), n);
+                        let set = SpeculationSet::from_profile(&p, 0.99, n.min(100));
+                        let out = evaluate::evaluate_after_training(&set, eval(), n);
+                        (n, out.incorrect_frac(), out.correct_frac())
+                    })
+                    .collect();
+                Row {
+                    name: model.name,
+                    curve,
+                    knee: (knee_pt.incorrect, knee_pt.correct),
+                    cross_input: (cross.incorrect_frac(), cross.correct_frac()),
+                    initial,
+                }
+            })
+            .collect()
+    }
+
+    /// Every field of a row, floats by bit pattern.
+    fn row_bits(r: &Row) -> (&'static str, Vec<u64>) {
+        let mut bits = Vec::new();
+        for &(x, y) in r.curve.iter().chain([&r.knee, &r.cross_input]) {
+            bits.extend([x.to_bits(), y.to_bits()]);
         }
-        assert!(l[0] >= 50);
-        assert!(*l.last().unwrap() <= 2_000_000);
+        bits.push(r.curve.len() as u64);
+        for &(n, x, y) in &r.initial {
+            bits.extend([n, x.to_bits(), y.to_bits()]);
+        }
+        (r.name, bits)
+    }
+
+    #[test]
+    fn two_pass_run_matches_streaming_reference() {
+        for seed in [1, 2, 3] {
+            for events in [300, 24_000] {
+                let opts = ExpOptions::small().with_events(events).with_seed(seed);
+                let fast: Vec<_> = run(&opts).iter().map(row_bits).collect();
+                let slow: Vec<_> = streaming_reference(&opts).iter().map(row_bits).collect();
+                assert_eq!(fast.len(), 12);
+                assert_eq!(fast, slow, "seed {seed} events {events}");
+            }
+        }
     }
 
     #[test]

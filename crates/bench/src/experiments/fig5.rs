@@ -29,7 +29,11 @@ pub struct Row {
 pub fn run(opts: &ExpOptions) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let profile = BranchProfile::from_trace(pop.trace(InputId::Eval, opts.events, opts.seed));
+        let profile = BranchProfile::from_trace_chunked(&mut pop.trace(
+            InputId::Eval,
+            opts.events,
+            opts.seed,
+        ));
         let st = pareto::threshold_point(&profile, 0.99);
         let reactive = table4::CONFIG_NAMES
             .iter()

@@ -61,6 +61,16 @@ fn unknown_experiment_still_exits_2() {
 }
 
 #[test]
+fn fig2_below_the_training_floor_runs() {
+    // Below 400 events fig2's training lengths fall under their floor.
+    let out = repro(&["fig2", "--events", "100"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("initial behavior"));
+}
+
+#[test]
 fn fuzz_non_integer_iters_is_a_usage_error() {
     let out = repro(&["fuzz", "--iters", "lots"]);
     assert_usage_error(&out, "--iters needs an integer");

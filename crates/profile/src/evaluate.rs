@@ -1,7 +1,8 @@
 //! Open-loop evaluation: applying a static [`SpeculationSet`] to a trace.
 
+use crate::profile::BranchProfile;
 use crate::select::SpeculationSet;
-use rsc_trace::BranchRecord;
+use rsc_trace::{BranchRecord, Direction};
 
 /// Outcome counts from running speculation over a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,6 +122,82 @@ pub fn evaluate_after_training<I: IntoIterator<Item = BranchRecord>>(
                 out.incorrect += 1;
             }
         }
+    }
+    out
+}
+
+/// [`evaluate`] from profile counts instead of a second pass over the
+/// trace.
+///
+/// The open-loop sum does not depend on event order: each selected branch
+/// contributes its matching count as correct and the rest as incorrect,
+/// and the event and instruction totals are the profile's. So when
+/// `profile` is [`BranchProfile::from_trace`] of a trace, this equals
+/// [`evaluate`] of `set` over that same trace, bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use rsc_trace::{spec2000, InputId};
+/// use rsc_profile::{evaluate, BranchProfile, SpeculationSet};
+///
+/// let pop = spec2000::benchmark("eon").unwrap().population(30_000);
+/// let profile = BranchProfile::from_trace(pop.trace(InputId::Eval, 30_000, 1));
+/// let set = SpeculationSet::from_profile(&profile, 0.99, 1);
+/// assert_eq!(
+///     evaluate::evaluate_profile(&set, &profile),
+///     evaluate::evaluate(&set, pop.trace(InputId::Eval, 30_000, 1)),
+/// );
+/// ```
+pub fn evaluate_profile(set: &SpeculationSet, profile: &BranchProfile) -> SpecOutcome {
+    outcome_from_counts(set, profile, None)
+}
+
+/// [`evaluate_after_training`] from profile counts.
+///
+/// `evaluate_after_training(set, trace, n)` skips exactly the per-branch
+/// first `n` executions that [`initial_profile`](crate::initial::initial_profile)
+/// of the same trace records, so it is the open-loop sum over
+/// `full − training` counts. When `full` is the whole-trace profile and
+/// `training` its `n`-execution initial profile, this equals it bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics if some count of `training` exceeds the one in `full`, i.e. it
+/// is not a per-branch prefix of the same trace.
+pub fn evaluate_profile_after_training(
+    set: &SpeculationSet,
+    full: &BranchProfile,
+    training: &BranchProfile,
+) -> SpecOutcome {
+    outcome_from_counts(set, full, Some(training))
+}
+
+fn outcome_from_counts(
+    set: &SpeculationSet,
+    full: &BranchProfile,
+    skipped: Option<&BranchProfile>,
+) -> SpecOutcome {
+    let mut out = SpecOutcome {
+        events: full.events(),
+        instructions: full.instructions(),
+        ..SpecOutcome::default()
+    };
+    for (branch, dir) in set.iter() {
+        let i = branch.index();
+        let (mut taken, mut not_taken) = (full.taken(i), full.not_taken(i));
+        if let Some(skip) = skipped {
+            let prefix = "training counts must be a prefix of the full profile";
+            taken = taken.checked_sub(skip.taken(i)).expect(prefix);
+            not_taken = not_taken.checked_sub(skip.not_taken(i)).expect(prefix);
+        }
+        let (hit, miss) = match dir {
+            Direction::Taken => (taken, not_taken),
+            Direction::NotTaken => (not_taken, taken),
+        };
+        out.correct += hit;
+        out.incorrect += miss;
     }
     out
 }

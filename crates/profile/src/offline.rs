@@ -6,7 +6,7 @@
 //! self-training, because some predicates are input-dependent and some code
 //! is exercised by only one input.
 
-use crate::evaluate::{evaluate, SpecOutcome};
+use crate::evaluate::{evaluate_profile, SpecOutcome};
 use crate::profile::BranchProfile;
 use crate::select::SpeculationSet;
 use rsc_trace::{InputId, Population};
@@ -51,6 +51,11 @@ impl CrossInputResult {
 /// Both runs use `events` events; `threshold` is the selection bias
 /// threshold (the paper uses 99%); `min_execs` filters branches with too
 /// few profiled executions to classify.
+///
+/// Each input's trace is generated once: both evaluations are derived from
+/// the evaluation input's profile counts
+/// ([`evaluate_profile`]), which is bit-identical to re-running
+/// [`evaluate`](crate::evaluate::evaluate) over the trace.
 pub fn cross_input_experiment(
     population: &Population,
     events: u64,
@@ -58,16 +63,41 @@ pub fn cross_input_experiment(
     threshold: f64,
     min_execs: u64,
 ) -> CrossInputResult {
-    let eval_profile = BranchProfile::from_trace(population.trace(InputId::Eval, events, seed));
-    let train_profile =
-        BranchProfile::from_trace(population.trace(InputId::Profile, events, seed + 1));
+    let eval_profile =
+        BranchProfile::from_trace_chunked(&mut population.trace(InputId::Eval, events, seed));
+    cross_input_from_eval_profile(
+        &eval_profile,
+        population,
+        events,
+        seed,
+        threshold,
+        min_execs,
+    )
+}
 
-    let self_set = SpeculationSet::from_profile(&eval_profile, threshold, min_execs);
+/// [`cross_input_experiment`] for a caller that already holds the
+/// evaluation input's whole-run profile (`InputId::Eval` at `events` and
+/// `seed`): only the profile input's trace is generated.
+pub fn cross_input_from_eval_profile(
+    eval_profile: &BranchProfile,
+    population: &Population,
+    events: u64,
+    seed: u64,
+    threshold: f64,
+    min_execs: u64,
+) -> CrossInputResult {
+    let train_profile = BranchProfile::from_trace_chunked(&mut population.trace(
+        InputId::Profile,
+        events,
+        seed + 1,
+    ));
+
+    let self_set = SpeculationSet::from_profile(eval_profile, threshold, min_execs);
     let cross_set = SpeculationSet::from_profile(&train_profile, threshold, min_execs);
 
     CrossInputResult {
-        self_trained: evaluate(&self_set, population.trace(InputId::Eval, events, seed)),
-        cross_trained: evaluate(&cross_set, population.trace(InputId::Eval, events, seed)),
+        self_trained: evaluate_profile(&self_set, eval_profile),
+        cross_trained: evaluate_profile(&cross_set, eval_profile),
     }
 }
 
@@ -120,6 +150,34 @@ mod tests {
             "cross-input profiling should find less benefit: {:?}",
             r
         );
+    }
+
+    #[test]
+    fn matches_streaming_reference() {
+        // The streaming composition: four trace generations, each
+        // evaluation replaying the evaluation trace.
+        fn reference(pop: &Population, events: u64, seed: u64) -> CrossInputResult {
+            let eval = || pop.trace(InputId::Eval, events, seed);
+            let eval_profile = BranchProfile::from_trace(eval());
+            let train_profile =
+                BranchProfile::from_trace(pop.trace(InputId::Profile, events, seed + 1));
+            let self_set = SpeculationSet::from_profile(&eval_profile, 0.99, 32);
+            let cross_set = SpeculationSet::from_profile(&train_profile, 0.99, 32);
+            CrossInputResult {
+                self_trained: crate::evaluate::evaluate(&self_set, eval()),
+                cross_trained: crate::evaluate::evaluate(&cross_set, eval()),
+            }
+        }
+        for name in ["crafty", "gcc", "mcf"] {
+            let pop = spec2000::benchmark(name).unwrap().population(30_000);
+            for (events, seed) in [(0, 1), (500, 2), (30_000, 3)] {
+                assert_eq!(
+                    cross_input_experiment(&pop, events, seed, 0.99, 32),
+                    reference(&pop, events, seed),
+                    "{name} events {events} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,17 @@ impl BranchProfile {
         }
     }
 
+    /// An empty profile with room for `branches` static branches, so
+    /// accumulating that many never reallocates.
+    pub(crate) fn reserved(branches: usize) -> Self {
+        BranchProfile {
+            taken: Vec::with_capacity(branches),
+            not_taken: Vec::with_capacity(branches),
+            events: 0,
+            instructions: 0,
+        }
+    }
+
     /// Accumulates an entire trace.
     pub fn from_trace<I: IntoIterator<Item = BranchRecord>>(trace: I) -> Self {
         let mut p = BranchProfile::new();
@@ -60,21 +71,7 @@ impl BranchProfile {
     /// trace; it is simply faster.
     pub fn from_trace_chunked(trace: &mut rsc_trace::Trace<'_>) -> Self {
         let mut p = BranchProfile::new();
-        let mut buf = vec![
-            BranchRecord {
-                branch: BranchId::new(0),
-                taken: false,
-                instr: 0
-            };
-            4096
-        ];
-        loop {
-            let n = trace.fill(&mut buf);
-            if n == 0 {
-                break;
-            }
-            p.record_chunk(&buf[..n]);
-        }
+        for_each_chunk(trace, |chunk| p.record_chunk(chunk));
         p
     }
 
@@ -215,6 +212,26 @@ impl BranchProfile {
                 Some((BranchId::new(i as u32), n, self.bias(i).expect("n > 0")))
             }
         })
+    }
+}
+
+/// Drains `trace` through [`rsc_trace::Trace::fill`] into one reusable
+/// buffer, handing each filled chunk to `f` in trace order.
+pub(crate) fn for_each_chunk(trace: &mut rsc_trace::Trace<'_>, mut f: impl FnMut(&[BranchRecord])) {
+    let mut buf = vec![
+        BranchRecord {
+            branch: BranchId::new(0),
+            taken: false,
+            instr: 0
+        };
+        4096
+    ];
+    loop {
+        let n = trace.fill(&mut buf);
+        if n == 0 {
+            break;
+        }
+        f(&buf[..n]);
     }
 }
 
